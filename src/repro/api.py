@@ -13,22 +13,15 @@ For sweeps, :class:`~repro.runner.spec.CampaignSpec` and
 the grid (topologies x schemes x discriminators x failure scenarios)
 declaratively and run it in parallel with a content-addressed offline-stage
 artifact cache and resume-from-partial.  ``run_campaign`` returns a
-:class:`~repro.runner.executor.CampaignHandle` whose ``results=`` backend
-is selected by path suffix — a ``.sqlite`` path lands the campaign in the
-queryable :class:`~repro.store.database.CampaignStore`, a ``.jsonl`` path
-streams the checksummed interchange format — and which exposes ``.store``,
-``.query(expr)`` (the ``scheme=pr topology~zoo campaign:last10`` grammar of
-:mod:`repro.store.query`), ``.summary()`` and ``.telemetry()``.
-
-Deprecated spellings (kept as shims that emit :class:`DeprecationWarning`):
-
-===============================================  ===========================
-old                                              new
-===============================================  ===========================
-``run_campaign(spec, results_path="c.jsonl")``   ``run_campaign(spec, results="c.jsonl")``
-``CampaignResult`` (as the return-type name)     ``CampaignHandle`` (same object)
-manifest sidecar next to ``--results`` JSONL     ``handle.telemetry()`` / the store's telemetry table
-===============================================  ===========================
+:class:`~repro.runner.executor.CampaignHandle`.  Its ``results=`` argument
+is the path of a queryable :class:`~repro.store.database.CampaignStore`
+(``.sqlite``/``.sqlite3``/``.db``; any other path is refused before a cell
+runs), and the handle exposes ``.store``, ``.query(expr)`` (the
+``scheme=pr topology~zoo campaign:last10`` grammar of
+:mod:`repro.store.query`), ``.summary()`` and ``.telemetry()``.  JSONL
+results — the checksummed interchange format of
+:class:`~repro.store.jsonl.ResultStore` — go in and out of a store through
+``migrate_results`` (``repro migrate``).
 
 The failure-scenario toolbox rides along: the enumerators and sampler behind
 the built-in scenario kinds (:func:`single_link_failures`,
@@ -71,7 +64,6 @@ from repro.routing.discriminator import DiscriminatorKind
 from repro.runner import (  # noqa: F401  (re-exported convenience API)
     ArtifactCache,
     CampaignHandle,
-    CampaignResult,
     CampaignSpec,
     ScenarioSpec,
     run_campaign,

@@ -30,12 +30,12 @@ the reproduction can be driven without writing Python:
   (topologies x schemes x discriminators x failure scenarios) through the
   :mod:`repro.runner` subsystem, with a content-addressed offline-stage
   artifact cache (``--cache-dir``), process parallelism (``--workers``), a
-  streaming JSONL result store (``--results``) and resume-from-partial
+  SQLite results store (``--results``) and resume-from-partial
   (``--resume``).  Example::
 
       python -m repro sweep --topologies abilene geant \\
           --schemes reconvergence fcp pr --failures 4 --samples 20 \\
-          --workers 4 --cache-dir .repro-cache --results campaign.jsonl
+          --workers 4 --cache-dir .repro-cache --results campaign.sqlite
 
   ``--topology-set zoo|synthetic|all`` shards the campaign across a whole
   corpus set instead of (or on top of) ``--topologies``; the report then
@@ -43,7 +43,7 @@ the reproduction can be driven without writing Python:
   scheme).  Example::
 
       python -m repro sweep --topology-set all --schemes reconvergence fcp \\
-          --workers 4 --results corpus.jsonl
+          --workers 4 --results corpus.sqlite
 
   A campaign can also be saved to / loaded from a JSON spec file
   (``--save-spec`` / ``--spec``); a second invocation with the same spec
@@ -85,6 +85,7 @@ from repro.runner import aggregate as campaign_aggregate
 from repro.runner import faults as fault_harness
 from repro.errors import ReproError
 from repro.scenarios import available_scenario_models, get_scenario_model, registered_models
+from repro.store.database import require_store_path
 from repro.topologies import corpus as topology_corpus
 from repro import telemetry
 
@@ -396,9 +397,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _resolve_results(path_arg: str):
     """The one results-argument resolver every subcommand shares.
 
-    Classifies the path (SQLite store / checksummed JSONL / telemetry
-    manifest) and returns a :class:`repro.store.ResolvedResults`; a missing
-    file exits with the error instead of a traceback.
+    Classifies the path (SQLite store / telemetry manifest) and returns a
+    :class:`repro.store.ResolvedResults`; a missing file or any other kind
+    of path exits with the error instead of a traceback.
     """
     from repro.store import resolve_results
 
@@ -502,7 +503,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.store.serve import ServeSession, jobs_path_for, serve_forever
 
-    jobs_path = None if args.no_jobs else (args.jobs or jobs_path_for(args.socket))
+    jobs_path = args.jobs or jobs_path_for(args.socket)
     session = ServeSession(
         cache_dir=args.cache_dir,
         jobs_path=jobs_path,
@@ -521,8 +522,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if recovered:
         print(f"recovered {len(recovered)} interrupted job(s): "
               + ", ".join(recovered))
-    if jobs_path is not None:
-        print(f"job journal: {jobs_path}")
+    print(f"job journal: {jobs_path}")
     print(f"serving on {args.socket} "
           f"(line-delimited JSON requests; op=shutdown or ctrl-c stops)")
     try:
@@ -583,6 +583,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec_from_args(args)
     if args.resume and not args.results:
         raise SystemExit("--resume needs --results to know which cells are done")
+    if args.results:
+        try:
+            require_store_path(args.results)
+        except ReproError as exc:
+            raise SystemExit(str(exc))
     if args.no_telemetry:
         telemetry.set_enabled(False)
     try:
@@ -652,20 +657,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 for entry in result.quarantined
             ],
         ))
-        if result.quarantine_path is not None:
-            print(f"quarantine sidecar: {result.quarantine_path}")
-        elif result.store is not None:
-            print(f"quarantine entries recorded in {result.results_path}")
+        if result.store is not None:
+            print(f"quarantine entries recorded in {result.store.path}")
     stats = result.cache_stats()
     if args.cache_dir:
         print(f"artifact cache: {stats['hits']} hits, {stats['misses']} misses "
               f"({args.cache_dir})")
     if result.store is not None:
-        print(f"results store: {result.results_path} "
+        print(f"results store: {result.store.path} "
               f"(campaign {spec.spec_hash()}; query with: "
-              f"repro query {result.results_path} campaign:last1)")
-    elif result.results_path is not None:
-        print(f"results: {result.results_path}")
+              f"repro query {result.store.path} campaign:last1)")
     engine_counters = result.engine_counters()
     if engine_counters:
         # Merged across every worker through the per-cell snapshots — the
@@ -673,11 +674,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("engine counters (all workers): "
               + ", ".join(f"{name}={value}"
                           for name, value in sorted(engine_counters.items())))
-    if result.telemetry_path is not None:
-        print(f"telemetry manifest: {result.telemetry_path}")
-    elif result.store is not None:
-        print(f"telemetry manifest recorded in {result.results_path} "
-              f"(repro report {result.results_path})")
+    if result.store is not None:
+        print(f"telemetry manifest: stored in {result.store.path} "
+              f"(repro report {result.store.path})")
     if args.slowest:
         manifest = result.telemetry(slowest=args.slowest)
         rows = telemetry.report.slowest_rows(manifest, args.slowest)
@@ -906,10 +905,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", default=".repro-cache",
                        help="offline-stage artifact cache directory")
     sweep.add_argument("--results",
-                       help="results backend to stream cell records into, "
-                            "auto-detected by suffix: a .sqlite/.sqlite3/.db "
-                            "path lands the campaign in the queryable store, "
-                            "anything else streams checksummed JSONL")
+                       help="SQLite results store (.sqlite/.sqlite3/.db) to "
+                            "stream cell records into; JSONL results are "
+                            "imported with repro migrate")
     sweep.add_argument("--resume", action="store_true",
                        help="skip cells already recorded in --results")
     sweep.add_argument("--spec", help="load the campaign spec from this JSON file "
@@ -926,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--on-error", choices=["fail", "quarantine"], default="fail",
                        help="what to do when a cell exhausts its retries: abort the "
                             "campaign after draining (fail, default) or record the "
-                            "cell in the campaign.quarantine.jsonl sidecar and keep "
+                            "cell in the store's quarantine table and keep "
                             "going (quarantine)")
     sweep.add_argument("--inject", metavar="PLAN",
                        help="arm the deterministic fault-injection harness (testing "
@@ -946,9 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("results",
                         help="a results store (.sqlite — the latest campaign's "
-                             "manifest), campaign results JSONL (its "
-                             ".telemetry.json sidecar is used) or a manifest "
-                             "file directly")
+                             "manifest) or a .telemetry.json manifest file")
     report.add_argument("--slowest", type=int, default=10, metavar="N",
                         help="rows in the slowest-cells table (default 10)")
     report.add_argument("--validate", action="store_true",
@@ -958,11 +954,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser(
         "query",
-        help="filter records out of a results store or JSONL file "
+        help="filter records out of a results store "
              "(scheme=pr topology~zoo campaign:last10)",
     )
     query.add_argument("results",
-                       help="results store (.sqlite) or campaign JSONL file")
+                       help="results store (.sqlite)")
     query.add_argument("filter", nargs="*", metavar="CLAUSE",
                        help="filter clauses: field=value, field!=value, "
                             "field~value (substring) over topology/scheme/"
@@ -1012,9 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="job-journal SQLite path for async submit "
                             "(default: derived from --socket, e.g. "
                             ".repro-serve.jobs.sqlite)")
-    serve.add_argument("--no-jobs", action="store_true",
-                       help="disable the job journal; submit runs "
-                            "synchronously in the request thread")
     serve.add_argument("--max-jobs", type=int, default=64, metavar="N",
                        help="queued+running jobs before submit sheds "
                             "with Overloaded (default 64)")

@@ -160,7 +160,7 @@ def _samples_from_record(record: Record, name: Optional[str] = None) -> List[Str
     if name is None:
         name = record["scheme_name"]
     # Consecutive rows of one scenario share the failed-links list object
-    # (and JSONL-loaded rows repeat equal lists), so the tuple conversion is
+    # (and store-loaded rows repeat equal lists), so the tuple conversion is
     # cached across the run of identical values.
     last_links = None
     last_tuple: tuple = ()

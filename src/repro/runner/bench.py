@@ -9,7 +9,7 @@ wall-clock timings as a JSON artifact (``BENCH_*.json``):
 * **sweep** — a (topologies × schemes) campaign executed four ways: cold
   (offline embedding computed and persisted), warm (artifact cache hit,
   in-process engine caches hot), parallel (worker processes) and resumed
-  (every cell skipped via the JSONL store);
+  (every cell skipped via the SQLite results store);
 * **corpus** — a corpus-sharded single-link campaign over zoo snapshots and
   parameterized synthetic instances (quick mode uses a 4-topology slice,
   full mode the entire ``all`` set), exercising lazy per-worker topology
@@ -142,7 +142,7 @@ def run_bench(
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         cache_dir = Path(tmp) / "cache"
-        results = Path(tmp) / "results.jsonl"
+        results = Path(tmp) / "results.sqlite"
         spec = _sweep_spec(quick)
 
         started = time.perf_counter()
@@ -172,20 +172,18 @@ def run_bench(
         resumed_skipped = resumed.skipped
 
         # Warm-query throughput: the resident ``repro serve`` hot path.
-        # The sweep lands in the SQLite campaign store, then one
+        # The sweep already landed in the SQLite campaign store; one
         # ServeSession answers the same cross-campaign filter query
         # repeatedly with the store handle and engines already warm.
         # Driven in-process (no socket) so the number tracks the query
         # layer, not Unix-socket framing.
         from repro.store.serve import ServeSession
 
-        store_path = Path(tmp) / "results.sqlite"
-        run_campaign(spec, workers=1, cache_dir=cache_dir, results=store_path)
         session = ServeSession(cache_dir=cache_dir)
         try:
             query_request = {
                 "op": "query",
-                "results": str(store_path),
+                "results": str(results),
                 "filter": "scheme=pr campaign:last1",
             }
             warmup = session.handle(dict(query_request))

@@ -162,7 +162,7 @@ class ScenarioSpec:
         """The coordinates that identify this generator inside a campaign.
 
         Legacy kinds keep their original 4-tuple so existing cell ids (and
-        the JSONL records addressed by them) remain valid; model specs extend
+        the stored records addressed by them) remain valid; model specs extend
         it with the model name and canonical parameters.
         """
         base: Tuple[object, ...] = (

@@ -2,24 +2,25 @@
 
 * :mod:`repro.store.schema` — the SQLite schema and its append-only
   migration list (WAL mode, indexed cross-campaign columns).
-* :mod:`repro.store.database` — :class:`CampaignStore` (the default results
-  backend) and :class:`BoundCampaign` (one campaign's executor-facing view).
+* :mod:`repro.store.database` — :class:`CampaignStore`, the one live
+  results backend campaigns, sweeps, resumes and daemon jobs write into.
 * :mod:`repro.store.jsonl` — the checksummed JSONL :class:`ResultStore`,
-  demoted to the import/export format.
+  read and written only by ``repro migrate`` (import and export).
 * :mod:`repro.store.query` — the filter-expression grammar
   (``scheme=pr topology~zoo campaign:last10``) evaluated over SQL or plain
   record lists.
 * :mod:`repro.store.migrate` — byte-identical JSONL ↔ SQLite conversion.
-* :mod:`repro.store.resolve` — shared results-path resolution for the CLI.
+* :mod:`repro.store.resolve` — shared results-path resolution for
+  ``repro report`` and ``repro query``.
 * :mod:`repro.store.serve` — the resident query loop (imported on demand:
   ``from repro.store import serve``; it pulls in the runner package).
 """
 
 from repro.store.database import (
     STORE_SUFFIXES,
-    BoundCampaign,
     CampaignStore,
     is_store_path,
+    require_store_path,
 )
 from repro.store.jsonl import ResultStore
 from repro.store.migrate import export_jsonl, import_jsonl, migrate
@@ -28,7 +29,6 @@ from repro.store.resolve import ResolvedResults, classify_results_path, resolve_
 from repro.store.schema import SCHEMA_VERSION
 
 __all__ = [
-    "BoundCampaign",
     "CampaignStore",
     "FIELD_COLUMNS",
     "Filter",
@@ -42,5 +42,6 @@ __all__ = [
     "is_store_path",
     "migrate",
     "parse_filter",
+    "require_store_path",
     "resolve_results",
 ]

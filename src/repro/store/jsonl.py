@@ -1,31 +1,22 @@
 """Checksummed JSONL result files — the store's import/export format.
 
-:class:`ResultStore` is the original streaming results backend of the
-campaign runner (one checksummed JSON record per line, fsync-per-append,
-torn-tail repair).  Since the SQLite :class:`~repro.store.database.CampaignStore`
-became the queryable backend, this format is kept as the interchange shape:
-``repro migrate`` converts either direction and round-trips byte-identical
-files, resumed campaigns can still read their old JSONL stores, and CI
-artifacts stay diffable with plain text tools.
-
-One record per line, flushed (and by default fsynced) as soon as the cell
-completes, which makes a killed campaign resumable: on the next run every
-``cell_id`` already in the file is skipped and its record reused.
+:class:`ResultStore` reads and writes the interchange shape of a campaign:
+one checksummed JSON record per line.  No campaign streams into it any
+more — the SQLite :class:`~repro.store.database.CampaignStore` is the one
+live results backend — but ``repro migrate`` imports JSONL files into a
+store and exports store campaigns back out, round-tripping byte-identical
+files, and CI artifacts stay diffable with plain text tools.
 
 Each line carries an injected ``_checksum`` field (CRC-32 of the record
 without it), so every line stays plain JSON while :meth:`ResultStore.load`
-can tell a *trusted* record from a corrupted one.  A torn or
-checksum-failing **final** line is the expected shape of a crash mid-append
-and is silently skipped (counted in :attr:`ResultStore.torn_records_skipped`);
-the same damage **mid-file** means the store cannot be trusted as a whole
-and raises :class:`~repro.errors.ResultStoreError` with the line number,
-byte offset and (when parseable) the cell id.  The first append after
-reopening a file truncates any torn tail so the new record starts on a
-clean line boundary instead of welding onto the crash debris.
-
-Per-append ``fsync`` is on by default and gated by the ``REPRO_STORE_FSYNC``
-environment variable (set ``0`` to trade crash consistency for throughput
-on slow filesystems).
+can tell a *trusted* record from a corrupted one.  The files come from
+outside the program (older runs, other machines, hand edits), so loading
+checks them: a torn or checksum-failing **final** line is the shape of a
+writer killed mid-append and is skipped (counted in
+:attr:`ResultStore.torn_records_skipped`); the same damage **mid-file**
+means the file cannot be trusted as a whole and raises
+:class:`~repro.errors.ResultStoreError` with the line number, byte offset
+and (when parseable) the cell id.  Every append is flushed and fsynced.
 """
 
 from __future__ import annotations
@@ -40,29 +31,13 @@ from typing import Any, Dict, List, Set, Union
 from repro.errors import ResultStoreError
 
 
-def _faults():
-    # Imported lazily: the fault-injection harness lives in the runner
-    # package, which itself imports this module at load time.
-    from repro.runner import faults
-
-    return faults
-
-
 class ResultStore:
-    """Append-only JSONL store of campaign cell records, crash-consistent."""
+    """A checksummed JSONL file of campaign cell records."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         #: torn trailing records dropped by the most recent :meth:`load`.
         self.torn_records_skipped = 0
-        # Whether this instance has verified the file ends on a clean line
-        # boundary.  A crash mid-append leaves a torn tail without a
-        # newline; appending straight onto it would weld two records into
-        # one garbage line, so the first append repairs the tail first.
-        self._tail_clean = False
-
-    def exists(self) -> bool:
-        return self.path.exists()
 
     #: Lines are written as ``{"_checksum": "xxxxxxxx", <canonical body>`` so
     #: :meth:`load` can verify them with one crc32 over the stored bytes
@@ -78,49 +53,21 @@ class ResultStore:
         )
         return format(zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
-    def _repair_torn_tail(self) -> None:
-        """Truncate a torn trailing line back to the last clean boundary.
-
-        Only bytes after the final newline are dropped — by construction
-        they are the unparseable remains of an interrupted append.
-        """
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        with self.path.open("r+b") as stream:
-            stream.truncate(data.rfind(b"\n") + 1)
-
     def append(self, record: Dict[str, Any]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self._tail_clean:
-            self._repair_torn_tail()
-            self._tail_clean = True
         body = json.dumps(record, sort_keys=True)
         crc = format(zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, "08x")
         line = f'{self._CHECKSUM_PREFIX}{crc}", {body[1:]}' if len(body) > 2 else body
-        faults = _faults()
-        spec = faults.checkpoint("store-append", record.get("cell_id"))
         with self.path.open("a") as stream:
-            if spec is not None and spec.kind == "partial-write":
-                # A realistic torn write is a crash mid-append: persist a
-                # prefix of the line, then die without the trailing newline.
-                stream.write(line[: max(1, len(line) // 2)])
-                stream.flush()
-                os.fsync(stream.fileno())
-                faults.crash_now()
             stream.write(line)
             stream.write("\n")
             stream.flush()
-            if os.environ.get("REPRO_STORE_FSYNC", "1") != "0":
-                os.fsync(stream.fileno())
+            os.fsync(stream.fileno())
 
     def truncate(self) -> None:
-        """Start the file over (a fresh, non-resumed campaign run)."""
+        """Start the file over (an export writes a whole campaign)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.write_text("")
-        self._tail_clean = True
 
     def load(self) -> List[Dict[str, Any]]:
         """Every trusted record in the file (a torn final line is dropped).
@@ -167,8 +114,8 @@ class ResultStore:
                             )
                 except ValueError as exc:
                     if number == last_content:
-                        # The expected shape of a crash mid-append; the
-                        # missing cell simply re-runs on resume.
+                        # The shape of a writer killed mid-append: the
+                        # record never finished, so it is not imported.
                         self.torn_records_skipped += 1
                     else:
                         match = re.search(r'"cell_id"\s*:\s*"([^"]+)"', stripped)

@@ -1,7 +1,9 @@
 """JSONL ↔ SQLite conversion — ``repro migrate``.
 
 The checksummed JSONL format (:mod:`repro.store.jsonl`) is the store's
-import/export shape; these functions convert a campaign either direction
+import/export shape — and the format campaigns streamed into before the
+store became the one live backend, so those files import (and resume) as
+store campaigns.  These functions convert a campaign either direction
 and round-trip **byte-identical** files.  That works because both backends
 keep every record in the same canonical serialisation
 (``json.dumps(record, sort_keys=True)``): importing strips nothing but the
@@ -28,8 +30,11 @@ from repro.telemetry import merge as telemetry_merge
 
 
 def _quarantine_path_for(results_path: Path) -> Path:
-    # Same pairing rule as repro.runner.policy.quarantine_path_for,
-    # restated here so the store package does not import the runner.
+    """The quarantine sidecar of a JSONL results file.
+
+    ``campaign.jsonl`` -> ``campaign.quarantine.jsonl``; other names get
+    ``.quarantine.jsonl`` appended, mirroring the telemetry sidecar naming.
+    """
     if results_path.suffix == ".jsonl":
         return results_path.with_name(results_path.stem + ".quarantine.jsonl")
     return results_path.with_name(results_path.name + ".quarantine.jsonl")

@@ -7,8 +7,9 @@ A lightweight, stdlib-only instrumentation layer with three parts:
   :func:`span` / :func:`count` / :func:`record_value` primitives, with a
   near-zero disabled fast path;
 * :mod:`repro.telemetry.merge` — the read side: deterministic merging of
-  per-cell snapshots into the campaign telemetry manifest (the JSON sidecar
-  next to a campaign's JSONL results), plus schema validation for CI;
+  per-cell snapshots into the campaign telemetry manifest (kept in the
+  results store; a JSON sidecar in JSONL exports), plus schema validation
+  for CI;
 * :mod:`repro.telemetry.report` — plain-text rendering for ``repro report``
   and the sweep ``--slowest`` table.
 

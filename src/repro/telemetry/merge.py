@@ -4,13 +4,15 @@ Every campaign cell record carries the telemetry snapshot of its own
 execution under ``record["meta"]["telemetry"]`` (see
 :func:`repro.runner.executor.run_cell`).  Because the snapshots ride inside
 the records, they flow through the existing chunk-result envelopes from
-worker processes to the parent, survive the JSONL store, and are reused by
+worker processes to the parent, survive the results store, and are reused by
 resumed campaigns exactly like the payloads they accompany.
 
 This module is the read side: it merges those per-cell snapshots — counter
 addition is order-independent, span/distribution folds keep only commutative
 aggregates, and all keys are emitted sorted — into a campaign **telemetry
-manifest**, a JSON document written as a sidecar next to the JSONL results.
+manifest**, a JSON document kept in the store's ``telemetry`` table (and
+written as a ``.telemetry.json`` sidecar when ``repro migrate`` exports a
+campaign to JSONL).
 The manifest's ``counters`` section is deterministic: serial, parallel and
 (topology-aligned) resumed runs of the same campaign merge to byte-identical
 counter totals, which is what lets the perf trajectory compare *why* numbers
@@ -172,7 +174,7 @@ def canonical_bytes(document: Dict[str, Any]) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# sidecar persistence
+# sidecar persistence (the JSONL export of ``repro migrate``)
 # ----------------------------------------------------------------------
 def manifest_path_for(results_path: Union[str, Path]) -> Path:
     """The sidecar manifest path of a JSONL results file.

@@ -4,7 +4,9 @@ Every test follows the same contract: run a campaign clean, run it again
 under a deterministic fault plan, and require the surviving records to be
 byte-identical (modulo timing metadata) to the clean run — retries,
 timeouts, worker crashes and torn writes may cost wall-clock and show up in
-the ``faults/*`` counters, but never in the science.
+the ``faults/*`` counters, but never in the science.  Campaigns with a
+results path run into the SQLite store; what they left behind is read back
+through :class:`~repro.store.database.CampaignStore`.
 
 In-process faults are installed via :func:`repro.runner.faults.install`;
 anything that crosses a process boundary (parallel workers, CLI
@@ -15,17 +17,18 @@ cross-process contract the harness is built on.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import InjectedFault
 from repro.runner import faults
-from repro.runner.executor import ResultStore, run_campaign, telemetry_manifest
+from repro.runner.executor import run_campaign, telemetry_manifest
 from repro.runner.faults import parse_plan
-from repro.runner.policy import ExecutionPolicy, quarantine_path_for
+from repro.runner.policy import ExecutionPolicy
 from repro.runner.spec import CampaignSpec, ScenarioSpec
-from repro.telemetry import merge as telemetry
+from repro.store.database import CampaignStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -59,6 +62,16 @@ def target_of(spec):
     return spec.cells()[0].cell_id[:12]
 
 
+def stored(path, campaign_id):
+    """(records, quarantine entries, manifest) a campaign left in a store."""
+    with CampaignStore(path) as store:
+        return (
+            store.load_records(campaign_id),
+            store.load_quarantine(campaign_id),
+            store.get_manifest(campaign_id),
+        )
+
+
 class TestRetries:
     def test_serial_transient_fault_is_retried_away(self):
         spec = pair_spec()
@@ -86,19 +99,19 @@ class TestRetries:
         assert result.fault_counters == {"faults/retries": 1}
 
     def test_exhausted_retries_fail_but_flush_completed_telemetry(self, tmp_path):
-        """on_error=fail still re-raises — after the manifest sidecar exists."""
+        """on_error=fail still re-raises — after the manifest is stored."""
         spec = pair_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         faults.install(
             parse_plan(f"site=cell-body,kind=exception,cells={target_of(spec)}")
         )
         policy = ExecutionPolicy(max_retries=1, **QUICK_BACKOFF)
         with pytest.raises(InjectedFault):
             run_campaign(spec, workers=1, results=path, policy=policy)
+        records, _, manifest = stored(path, spec.spec_hash())
         # The sibling cell's record reached the store...
-        assert len(ResultStore(path).load()) == 1
+        assert len(records) == 1
         # ...and so did the telemetry manifest, retry counters included.
-        manifest = telemetry.load_manifest(telemetry.manifest_path_for(path))
         assert manifest["counters"]["faults/retries"] == 1
         assert manifest["run"]["quarantined"] == 0
 
@@ -124,7 +137,7 @@ class TestTimeouts:
         )
         policy = ExecutionPolicy(cell_timeout=0.3, on_error="quarantine", **QUICK_BACKOFF)
         result = run_campaign(
-            spec, workers=1, results=tmp_path / "results.jsonl", policy=policy
+            spec, workers=1, results=tmp_path / "results.sqlite", policy=policy
         )
         [entry] = result.quarantined
         assert entry["cell_id"] == spec.cells()[0].cell_id
@@ -142,27 +155,27 @@ class TestQuarantine:
         clean = run_campaign(spec, workers=1)
         bad = spec.cells()[0].cell_id
         faults.install(parse_plan(f"site=cell-body,kind=exception,cells={bad[:12]}"))
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         policy = ExecutionPolicy(max_retries=1, on_error="quarantine", **QUICK_BACKOFF)
         result = run_campaign(spec, workers=1, results=path, policy=policy)
         expected = [r for r in clean.records if r["cell_id"] != bad]
         assert deterministic_part(result.records) == deterministic_part(expected)
-        # Quarantined cells never enter the results store...
-        assert bad not in ResultStore(path).completed_cell_ids()
-        # ...they live in the sidecar, with their full failure context.
-        sidecar = ResultStore(quarantine_path_for(path))
-        [entry] = sidecar.load()
+        records, quarantine, _ = stored(path, spec.spec_hash())
+        # Quarantined cells never enter the records table...
+        assert bad not in {record["cell_id"] for record in records}
+        # ...they live in the quarantine table, with their full failure context.
+        [entry] = quarantine
         assert entry["cell_id"] == bad
         assert entry["error_type"] == "InjectedFault"
         assert entry["attempts"] == 2  # first try + one retry
-        assert result.quarantine_path == sidecar.path
+        assert result.quarantined == [entry]
 
     def test_resume_after_quarantine_completes_the_campaign(self, tmp_path):
         """Quarantine is a parking lot, not a verdict: once the fault is
         gone, a resumed run re-attempts exactly the quarantined cells."""
         spec = pair_spec()
         clean = run_campaign(spec, workers=1)
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         faults.install(
             parse_plan(f"site=cell-body,kind=exception,cells={target_of(spec)}")
         )
@@ -177,20 +190,22 @@ class TestQuarantine:
         assert resumed.executed == 1
         assert resumed.quarantined == []
         assert deterministic_part(resumed.records) == deterministic_part(clean.records)
-        # The healthy resume rewrites the sidecar empty.
-        assert ResultStore(quarantine_path_for(path)).load() == []
+        # The healthy resume rewrites the quarantine entries empty.
+        assert stored(path, spec.spec_hash())[1] == []
 
     def test_zero_faults_means_zero_quarantine_and_no_counters(self, tmp_path):
         spec = pair_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         policy = ExecutionPolicy(
             max_retries=2, cell_timeout=60.0, on_error="quarantine", **QUICK_BACKOFF
         )
         result = run_campaign(spec, workers=1, results=path, policy=policy)
         assert result.quarantined == []
         assert result.fault_counters == {}
-        assert ResultStore(quarantine_path_for(path)).load() == []
+        _, quarantine, manifest = stored(path, spec.spec_hash())
+        assert quarantine == []
         assert "faults/retries" not in telemetry_manifest(result)["counters"]
+        assert not any(name.startswith("faults/") for name in manifest["counters"])
 
 
 class TestWorkerCrashes:
@@ -219,7 +234,7 @@ class TestWorkerCrashes:
             on_error="quarantine", max_pool_rebuilds=32, **QUICK_BACKOFF
         )
         result = run_campaign(
-            spec, workers=2, results=tmp_path / "results.jsonl", policy=policy
+            spec, workers=2, results=tmp_path / "results.sqlite", policy=policy
         )
         [entry] = result.quarantined
         assert entry["cell_id"] == bad
@@ -300,61 +315,109 @@ def run_sweep_cli(results, cache_dir, *, workers=1, resume=False, inject_env=Non
     return outcome
 
 
+def orphans_naming(marker, wait_s=10.0):
+    """Pids (other than this process) whose command line names ``marker``,
+    polled until none is left or ``wait_s`` has passed."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        found = []
+        for entry in Path("/proc").iterdir():
+            if not entry.name.isdigit() or int(entry.name) == os.getpid():
+                continue
+            try:
+                cmdline = (entry / "cmdline").read_bytes()
+            except OSError:
+                continue  # exited while we looked
+            if marker.encode() in cmdline:
+                found.append(int(entry.name))
+        if not found or time.monotonic() >= deadline:
+            return found
+        time.sleep(0.2)
+
+
 class TestKillResume:
-    """Satellite: SIGKILL a sweep mid-campaign, resume, demand byte-identity."""
+    """Satellite: SIGKILL a sweep mid-campaign, resume, demand byte-identity.
+
+    The kill lands inside ``CampaignStore.append_record`` with the insert
+    transaction open; WAL rollback makes that record never-happened.
+    """
 
     TORN_WRITE = "site=store-append,kind=partial-write,skip=2"
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
     def test_sigkill_mid_store_append_then_resume(self, tmp_path, workers):
+        """A kill mid-append harms neither the killed campaign's committed
+        records nor another campaign already in the same store."""
         cache_dir = tmp_path / "cache"
-        clean_path = tmp_path / "clean.jsonl"
+        clean_path = tmp_path / "clean.sqlite"
         clean = run_sweep_cli(clean_path, cache_dir, workers=workers)
         assert clean.returncode == 0, clean.log
 
-        killed_path = tmp_path / "killed.jsonl"
+        killed_path = tmp_path / "killed.sqlite"
+        other = run_campaign(pair_spec(), workers=1, results=killed_path)
+        other.store.close()
         killed = run_sweep_cli(
             killed_path, cache_dir, workers=workers, inject_env=self.TORN_WRITE
         )
         assert killed.returncode == -9, (killed.returncode, killed.log)
-        # The kill happened mid-append: two whole records plus a torn tail.
-        survivors = ResultStore(killed_path)
-        assert len(survivors.load()) == 2
-        assert survivors.torn_records_skipped == 1
+        with CampaignStore(killed_path) as store:
+            first, second = store.campaigns()
+            assert first["campaign_id"] == other.campaign_id
+            assert second["records"] == 2
 
         resumed = run_sweep_cli(killed_path, cache_dir, workers=workers, resume=True)
         assert resumed.returncode == 0, resumed.log
-        assert deterministic_part(ResultStore(killed_path).load()) == deterministic_part(
-            ResultStore(clean_path).load()
-        )
+        with CampaignStore(clean_path) as store:
+            [campaign] = store.campaigns()
+            clean_records = store.load_records(campaign["campaign_id"])
+        resumed_records, _, manifest = stored(killed_path, campaign["campaign_id"])
+        assert deterministic_part(resumed_records) == deterministic_part(clean_records)
         # The resumed manifest covers the whole campaign, not just the tail.
-        manifest = telemetry.load_manifest(telemetry.manifest_path_for(killed_path))
         assert manifest["campaign"]["cells"] == 4
+        # The other campaign in the file is untouched.
+        assert stored(killed_path, other.campaign_id)[0] == other.records
 
-    def test_sigkill_mid_sqlite_append_then_resume(self, tmp_path):
-        """The SQLite backend honours the same store-append fault site: the
-        kill lands with the insert transaction open, WAL rollback makes the
-        third record never-happened, and resume completes the campaign."""
-        from repro.store.database import CampaignStore
-
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
+    def test_sigkill_mid_sqlite_append_then_resume(self, tmp_path, workers):
+        """The store-append fault site fires with the insert transaction
+        open, WAL rollback makes the third record never-happened, and resume
+        completes the campaign."""
         cache_dir = tmp_path / "cache"
-        clean_path = tmp_path / "clean.jsonl"
-        clean = run_sweep_cli(clean_path, cache_dir)
+        clean_path = tmp_path / "clean.sqlite"
+        clean = run_sweep_cli(clean_path, cache_dir, workers=workers)
         assert clean.returncode == 0, clean.log
 
         killed_path = tmp_path / "killed.sqlite"
-        killed = run_sweep_cli(killed_path, cache_dir, inject_env=self.TORN_WRITE)
+        killed = run_sweep_cli(
+            killed_path, cache_dir, workers=workers, inject_env=self.TORN_WRITE
+        )
         assert killed.returncode == -9, (killed.returncode, killed.log)
         with CampaignStore(killed_path) as store:
             [campaign] = store.campaigns()
             assert campaign["records"] == 2
+            assert campaign["status"] == "running"
 
-        resumed = run_sweep_cli(killed_path, cache_dir, resume=True)
+        resumed = run_sweep_cli(killed_path, cache_dir, workers=workers, resume=True)
         assert resumed.returncode == 0, resumed.log
         with CampaignStore(killed_path) as store:
             [campaign] = store.campaigns()
             assert campaign["status"] == "done"
             survivors = store.load_records(campaign["campaign_id"])
         assert deterministic_part(survivors) == deterministic_part(
-            ResultStore(clean_path).load()
+            stored(clean_path, campaign["campaign_id"])[0]
         )
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/cmdline").exists(), reason="needs Linux /proc"
+    )
+    def test_killed_parallel_sweep_leaves_no_workers(self, tmp_path):
+        """Pool workers watch their parent: once a SIGKILL takes it, they
+        exit instead of idling forever reparented to init."""
+        killed = run_sweep_cli(
+            tmp_path / "killed.sqlite",
+            tmp_path / "cache",
+            workers=2,
+            inject_env=self.TORN_WRITE,
+        )
+        assert killed.returncode == -9, (killed.returncode, killed.log)
+        assert orphans_naming(str(tmp_path)) == []

@@ -13,6 +13,7 @@ from repro.runner import (
     run_campaign,
     topology_summary_rows,
 )
+from repro.store.database import CampaignStore
 from repro.topologies.corpus import topology_set
 
 
@@ -69,21 +70,20 @@ class TestCorpusSharding:
         assert payloads(serial) == payloads(parallel)
 
     def test_jsonl_rerun_payloads_identical(self, tmp_path):
+        """Serial and parallel runs store byte-identical canonical records
+        (minus the per-run meta), the lines a JSONL export carries."""
         spec = small_corpus_spec()
-        first = tmp_path / "first.jsonl"
-        second = tmp_path / "second.jsonl"
+        first = tmp_path / "first.sqlite"
+        second = tmp_path / "second.sqlite"
         run_campaign(spec, workers=1, results=first)
         run_campaign(spec, workers=2, results=second)
 
         def lines(path):
             rows = []
-            for line in path.read_text().splitlines():
-                record = json.loads(line)
-                record.pop("meta")
-                # The line checksum covers meta (per-run timings), so it
-                # goes too once meta is stripped.
-                record.pop("_checksum", None)
-                rows.append(json.dumps(record, sort_keys=True))
+            with CampaignStore(path) as store:
+                for record in store.load_records(spec.spec_hash()):
+                    record.pop("meta")
+                    rows.append(json.dumps(record, sort_keys=True))
             return rows
 
         assert lines(first) == lines(second)
@@ -99,9 +99,10 @@ class TestCorpusSharding:
 
     def test_topology_summary_rows_from_reloaded_store(self, tmp_path):
         spec = small_corpus_spec()
-        path = tmp_path / "corpus.jsonl"
+        path = tmp_path / "corpus.sqlite"
         result = run_campaign(spec, workers=1, results=path)
-        reloaded = [json.loads(line) for line in path.read_text().splitlines()]
+        with CampaignStore(path) as store:
+            reloaded = store.query("campaign:last1")
         assert topology_summary_rows(reloaded) == result.topology_summary()
 
 

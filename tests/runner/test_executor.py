@@ -1,4 +1,4 @@
-"""Executor: determinism, parallel/serial parity, JSONL store, resume."""
+"""Executor: determinism, parallel/serial parity, results store, resume."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ExperimentError, FailureScenarioError
 from repro.graph.spcache import _ENGINES, engine_for
 from repro.runner.executor import (
-    ResultStore,
     _TOPOLOGY_CACHE,
     _run_cell_chunk,
     _worker_init,
@@ -18,6 +17,8 @@ from repro.runner.executor import (
     run_cell,
 )
 from repro.runner.spec import CampaignSpec, ScenarioSpec
+from repro.store.database import CampaignStore
+from repro.store.jsonl import ResultStore
 from repro.topologies.example import example_fig1
 
 
@@ -39,6 +40,30 @@ def tiny_spec(**overrides):
 def deterministic_part(records):
     """Records without the timing/pid metadata (the comparable part)."""
     return [{k: v for k, v in r.items() if k != "meta"} for r in records]
+
+
+def stored_records(path, spec):
+    """The records a campaign left in a store, in cell order."""
+    with CampaignStore(path) as store:
+        return store.load_records(spec.spec_hash())
+
+
+def completed_cell_ids(path, spec):
+    with CampaignStore(path) as store:
+        return store.completed_cell_ids(spec.spec_hash())
+
+
+def keep_first_records(path, spec, count):
+    """Drop every record after the first ``count``, as if the run had been
+    killed there."""
+    campaign_id = spec.spec_hash()
+    with CampaignStore(path) as store:
+        for record in store.load_records(campaign_id)[count:]:
+            for table in ("records", "cells"):
+                store.conn.execute(
+                    f"DELETE FROM {table} WHERE campaign_id = ? AND cell_id = ?",
+                    (campaign_id, record["cell_id"]),
+                )
 
 
 class TestCellExecution:
@@ -138,22 +163,21 @@ class TestModelScenarioCells:
     def test_model_sweep_parallel_equals_serial(self, tmp_path):
         spec = model_spec()
         serial = run_campaign(
-            spec, workers=1, results=tmp_path / "serial.jsonl"
+            spec, workers=1, results=tmp_path / "serial.sqlite"
         )
         parallel = run_campaign(
-            spec, workers=2, results=tmp_path / "parallel.jsonl"
+            spec, workers=2, results=tmp_path / "parallel.sqlite"
         )
         assert deterministic_part(serial.records) == deterministic_part(parallel.records)
-        serial_lines = ResultStore(tmp_path / "serial.jsonl").load()
-        parallel_lines = ResultStore(tmp_path / "parallel.jsonl").load()
-        assert deterministic_part(serial_lines) == deterministic_part(parallel_lines)
+        serial_rows = stored_records(tmp_path / "serial.sqlite", spec)
+        parallel_rows = stored_records(tmp_path / "parallel.sqlite", spec)
+        assert deterministic_part(serial_rows) == deterministic_part(parallel_rows)
 
     def test_model_sweep_resumes_from_partial_store(self, tmp_path):
         spec = model_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         full = run_campaign(spec, workers=1, results=path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:5]) + "\n")
+        keep_first_records(path, spec, 5)
         resumed = run_campaign(spec, workers=2, results=path, resume=True)
         assert resumed.skipped == 5
         assert resumed.executed == spec.cell_count() - 5
@@ -185,20 +209,20 @@ class TestDeterminism:
             spec,
             workers=1,
             cache_dir=tmp_path / "cache-serial",
-            results=tmp_path / "serial.jsonl",
+            results=tmp_path / "serial.sqlite",
         )
         parallel = run_campaign(
             spec,
             workers=2,
             cache_dir=tmp_path / "cache-parallel",
-            results=tmp_path / "parallel.jsonl",
+            results=tmp_path / "parallel.sqlite",
         )
         assert deterministic_part(serial.records) == deterministic_part(parallel.records)
-        # The JSONL files are line-for-line comparable (records are flushed
+        # The stores are record-for-record comparable (records are flushed
         # in cell order even when they complete out of order).
-        serial_lines = ResultStore(tmp_path / "serial.jsonl").load()
-        parallel_lines = ResultStore(tmp_path / "parallel.jsonl").load()
-        assert deterministic_part(serial_lines) == deterministic_part(parallel_lines)
+        serial_rows = stored_records(tmp_path / "serial.sqlite", spec)
+        parallel_rows = stored_records(tmp_path / "parallel.sqlite", spec)
+        assert deterministic_part(serial_rows) == deterministic_part(parallel_rows)
 
     def test_cold_equals_cached(self, tmp_path):
         spec = tiny_spec()
@@ -237,10 +261,10 @@ class TestChunkedDispatch:
                 ScenarioSpec("multi-link", failures=40, samples=2),
             ),
         )
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=path)
-        completed = ResultStore(path).completed_cell_ids()
+        completed = completed_cell_ids(path, spec)
         single_link_ids = {
             cell.cell_id
             for cell in spec.cells()
@@ -265,10 +289,10 @@ class TestChunkedDispatch:
                 ScenarioSpec("single-link"),
             ),
         )
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=path)
-        completed = ResultStore(path).completed_cell_ids()
+        completed = completed_cell_ids(path, spec)
         single_link_ids = {
             cell.cell_id
             for cell in spec.cells()
@@ -278,7 +302,7 @@ class TestChunkedDispatch:
         # And the resumed run only redoes the failed cells.
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=path, resume=True)
-        assert ResultStore(path).completed_cell_ids() == single_link_ids
+        assert completed_cell_ids(path, spec) == single_link_ids
 
     def test_serial_failure_semantics_match_parallel(self, tmp_path):
         """Serial and parallel runs must leave identical resume state."""
@@ -290,18 +314,15 @@ class TestChunkedDispatch:
                 ScenarioSpec("single-link"),
             ),
         )
-        serial = tmp_path / "serial.jsonl"
+        serial = tmp_path / "serial.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=1, results=serial)
-        parallel = tmp_path / "parallel.jsonl"
+        parallel = tmp_path / "parallel.sqlite"
         with pytest.raises(FailureScenarioError):
             run_campaign(spec, workers=2, results=parallel)
-        assert (
-            ResultStore(serial).completed_cell_ids()
-            == ResultStore(parallel).completed_cell_ids()
-        )
-        assert deterministic_part(ResultStore(serial).load()) == deterministic_part(
-            ResultStore(parallel).load()
+        assert completed_cell_ids(serial, spec) == completed_cell_ids(parallel, spec)
+        assert deterministic_part(stored_records(serial, spec)) == deterministic_part(
+            stored_records(parallel, spec)
         )
 
     def test_worker_init_drops_stale_engines_keeps_active(self):
@@ -329,24 +350,31 @@ class TestChunkedDispatch:
 
 
 class TestResultStore:
+    """The results store a campaign streams into, and the checksummed JSONL
+    file ``repro migrate`` imports and exports."""
+
     def test_streams_one_json_line_per_cell(self, tmp_path):
+        """One canonical-JSON record row per cell."""
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         result = run_campaign(spec, workers=1, results=path)
-        lines = [line for line in path.read_text().splitlines() if line.strip()]
-        assert len(lines) == result.executed == spec.cell_count()
-        for line in lines:
-            json.loads(line)
+        with CampaignStore(path) as store:
+            rows = store.conn.execute(
+                "SELECT record_json FROM records WHERE campaign_id = ?",
+                (spec.spec_hash(),),
+            ).fetchall()
+        assert len(rows) == result.executed == spec.cell_count()
+        for row in rows:
+            json.loads(row["record_json"])
 
     def test_rerun_without_resume_truncates_the_store(self, tmp_path):
-        """Without resume the JSONL represents this run only; appending to
-        the previous run's lines would double-count every cell."""
+        """Without resume the campaign represents this run only; keeping the
+        previous run's records would double-count every cell."""
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         run_campaign(spec, workers=1, results=path)
         run_campaign(spec, workers=1, results=path)
-        lines = [line for line in path.read_text().splitlines() if line.strip()]
-        assert len(lines) == spec.cell_count()
+        assert len(stored_records(path, spec)) == spec.cell_count()
 
     def test_torn_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -402,7 +430,7 @@ class TestResultStore:
 class TestResume:
     def test_completed_campaign_resumes_to_no_work(self, tmp_path):
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         first = run_campaign(spec, workers=1, results=path)
         assert first.executed == spec.cell_count()
         resumed = run_campaign(spec, workers=1, results=path, resume=True)
@@ -412,36 +440,16 @@ class TestResume:
 
     def test_partial_campaign_resumes_remaining_cells(self, tmp_path):
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         full = run_campaign(spec, workers=1, results=path)
-        # Keep only the first three records, as if the run had been killed.
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")
+        keep_first_records(path, spec, 3)
         resumed = run_campaign(spec, workers=1, results=path, resume=True)
         assert resumed.skipped == 3
         assert resumed.executed == spec.cell_count() - 3
         assert deterministic_part(resumed.records) == deterministic_part(full.records)
 
-    def test_resume_over_torn_tail_reruns_that_cell_and_counts_it(self, tmp_path):
-        """A record lost to a torn write is re-executed, not silently missing."""
-        spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
-        full = run_campaign(spec, workers=1, results=path)
-        lines = path.read_text().splitlines()
-        torn = "\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2]
-        path.write_text(torn)
-        resumed = run_campaign(spec, workers=1, results=path, resume=True)
-        assert resumed.skipped == spec.cell_count() - 1
-        assert resumed.executed == 1
-        assert resumed.fault_counters["faults/torn_records_skipped"] == 1
-        assert deterministic_part(resumed.records) == deterministic_part(full.records)
-        # The store is whole again: a second resume finds nothing to do.
-        assert ResultStore(path).completed_cell_ids() == {
-            cell.cell_id for cell in spec.cells()
-        }
-
     def test_spec_change_invalidates_previous_records(self, tmp_path):
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         run_campaign(tiny_spec(), workers=1, results=path)
         changed = tiny_spec(seed=99)
         resumed = run_campaign(changed, workers=1, results=path, resume=True)
@@ -456,7 +464,7 @@ class TestResume:
         """cache_stats/offline_seconds cover this invocation's cells only,
         not the work recorded by the run being resumed."""
         spec = tiny_spec()
-        path = tmp_path / "results.jsonl"
+        path = tmp_path / "results.sqlite"
         first = run_campaign(
             spec, workers=1, cache_dir=tmp_path / "cache", results=path
         )

@@ -14,11 +14,7 @@ from repro.runner.faults import (
     parse_fault,
     parse_plan,
 )
-from repro.runner.policy import (
-    ExecutionPolicy,
-    quarantine_path_for,
-    run_with_timeout,
-)
+from repro.runner.policy import ExecutionPolicy, run_with_timeout
 
 
 @pytest.fixture(autouse=True)
@@ -201,14 +197,6 @@ class TestExecutionPolicy:
         assert policy.backoff_seconds("cell-a", 0) == 0.0
         # Different cells jitter differently (no retry lockstep).
         assert first != policy.backoff_seconds("cell-b", 1)
-
-    def test_quarantine_path_naming(self):
-        from pathlib import Path
-
-        assert quarantine_path_for("out/run.jsonl") == Path("out/run.quarantine.jsonl")
-        assert quarantine_path_for("run.results") == Path(
-            "run.results.quarantine.jsonl"
-        )
 
 
 class TestRunWithTimeout:

@@ -1,19 +1,25 @@
 """JSONL <-> SQLite migration: round trips must be byte-identical."""
 
 import filecmp
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.errors import ExperimentError
 from repro.runner import faults
 from repro.runner.executor import run_campaign
 from repro.runner.faults import parse_plan
-from repro.runner.policy import ExecutionPolicy, quarantine_path_for
+from repro.runner.policy import ExecutionPolicy
+from repro.runner.spec import CampaignSpec, ScenarioSpec
 from repro.store.database import CampaignStore
-from repro.store.migrate import export_jsonl, import_jsonl, migrate
+from repro.store.migrate import _quarantine_path_for, export_jsonl, import_jsonl, migrate
 from repro.telemetry import merge as telemetry
 
-from tests.store.conftest import pair_spec
+from tests.store.conftest import deterministic_part, pair_spec
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
@@ -33,11 +39,19 @@ def round_trip(tmp_path, jsonl_path):
     return back
 
 
+def jsonl_campaign(tmp_path, spec, workers=1, policy=None):
+    """Run ``spec`` into a store and export it as ``c.jsonl`` (+ sidecars)."""
+    store_path = tmp_path / "origin.sqlite"
+    run_campaign(spec, workers=workers, results=store_path, policy=policy)
+    results = tmp_path / "c.jsonl"
+    export_jsonl(store_path, results)
+    return results
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
     def test_fresh_campaign_round_trips_byte_identical(self, tmp_path, workers):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=workers, results=results)
+        results = jsonl_campaign(tmp_path, pair_spec(), workers=workers)
         back = round_trip(tmp_path, results)
         assert filecmp.cmp(results, back, shallow=False)
         # the telemetry sidecar rides along, also byte-identical
@@ -48,21 +62,22 @@ class TestRoundTrips:
         )
 
     def test_resumed_campaign_round_trips_byte_identical(self, tmp_path):
-        results = tmp_path / "c.jsonl"
+        store_path = tmp_path / "origin.sqlite"
         spec = pair_spec()
         # interrupt after two cells, then resume to completion
         faults.install(parse_plan("site=cell-body,kind=exception,skip=2"))
         policy = ExecutionPolicy(on_error="fail")
         with pytest.raises(Exception):
-            run_campaign(spec, workers=1, results=results, policy=policy)
+            run_campaign(spec, workers=1, results=store_path, policy=policy)
         faults.reload_from_env()
-        resumed = run_campaign(spec, workers=1, results=results, resume=True)
+        resumed = run_campaign(spec, workers=1, results=store_path, resume=True)
         assert resumed.skipped == 2
+        results = tmp_path / "c.jsonl"
+        export_jsonl(store_path, results)
         back = round_trip(tmp_path, results)
         assert filecmp.cmp(results, back, shallow=False)
 
     def test_quarantined_campaign_round_trips_byte_identical(self, tmp_path):
-        results = tmp_path / "c.jsonl"
         spec = pair_spec()
         target = spec.cells()[0].cell_id[:12]
         faults.install(
@@ -71,12 +86,11 @@ class TestRoundTrips:
         policy = ExecutionPolicy(
             on_error="quarantine", backoff_base_s=0.001, backoff_cap_s=0.01
         )
-        result = run_campaign(spec, workers=1, results=results, policy=policy)
-        assert len(result.quarantined) == 1
+        results = jsonl_campaign(tmp_path, spec, policy=policy)
         back = round_trip(tmp_path, results)
         assert filecmp.cmp(results, back, shallow=False)
         assert filecmp.cmp(
-            quarantine_path_for(results), quarantine_path_for(back), shallow=False
+            _quarantine_path_for(results), _quarantine_path_for(back), shallow=False
         )
 
     def test_sqlite_origin_round_trips_byte_identical(self, tmp_path):
@@ -94,8 +108,7 @@ class TestRoundTrips:
 
 class TestImportExport:
     def test_import_summary(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
+        results = jsonl_campaign(tmp_path, pair_spec())
         summary = import_jsonl(results, tmp_path / "c.sqlite")
         assert summary["direction"] == "jsonl->sqlite"
         assert summary["records"] == 4
@@ -106,8 +119,7 @@ class TestImportExport:
             assert row["campaign_id"] == summary["campaign_id"]
 
     def test_import_without_sidecars_derives_an_id(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
+        results = jsonl_campaign(tmp_path, pair_spec())
         telemetry.manifest_path_for(results).unlink()
         summary = import_jsonl(results, tmp_path / "c.sqlite")
         assert summary["campaign_id"].startswith("import-")
@@ -137,11 +149,18 @@ class TestImportExport:
         with pytest.raises(ExperimentError):
             export_jsonl(store_path, tmp_path / "out.jsonl", campaign_id="zzzz")
 
+    def test_quarantine_path_naming(self):
+        assert _quarantine_path_for(Path("out/run.jsonl")) == Path(
+            "out/run.quarantine.jsonl"
+        )
+        assert _quarantine_path_for(Path("run.results")) == Path(
+            "run.results.quarantine.jsonl"
+        )
+
 
 class TestDirectionDetection:
     def test_migrate_dispatches_on_suffix(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
+        results = jsonl_campaign(tmp_path, pair_spec())
         forward = migrate(results, tmp_path / "c.sqlite")
         assert forward["direction"] == "jsonl->sqlite"
         backward = migrate(tmp_path / "c.sqlite", tmp_path / "out.jsonl")
@@ -152,3 +171,53 @@ class TestDirectionDetection:
             migrate(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
         with pytest.raises(ExperimentError):
             migrate(tmp_path / "a.sqlite", tmp_path / "b.sqlite")
+
+
+def golden_spec():
+    """The spec the committed golden campaign ran."""
+    return CampaignSpec(
+        topologies=("fig1-example",),
+        schemes=("reconvergence", "fcp", "lfa"),
+        scenarios=(ScenarioSpec("single-link"),),
+    )
+
+
+class TestGoldenImport:
+    """``tests/store/data/golden.*`` were written by the live JSONL writer
+    campaigns used before the SQLite store became the only one (a
+    ``results=golden.jsonl`` run with ``on_error="quarantine"`` and the
+    second cell quarantined).  Such files must still import, export and
+    resume."""
+
+    NAMES = ("golden.jsonl", "golden.telemetry.json", "golden.quarantine.jsonl")
+
+    def test_import_then_export_reproduces_every_file(self, tmp_path, capsys):
+        store_path = tmp_path / "golden.sqlite"
+        assert repro_main(["migrate", str(DATA / "golden.jsonl"), str(store_path)]) == 0
+        exported = tmp_path / "golden.jsonl"
+        assert repro_main(["migrate", str(store_path), str(exported)]) == 0
+        capsys.readouterr()
+        for name in self.NAMES:
+            assert filecmp.cmp(DATA / name, tmp_path / name, shallow=False), name
+
+    def test_resume_on_the_imported_store_skips_every_recorded_cell(self, tmp_path):
+        for name in self.NAMES:
+            shutil.copy(DATA / name, tmp_path / name)
+        store_path = tmp_path / "golden.sqlite"
+        imported = import_jsonl(tmp_path / "golden.jsonl", store_path)
+        spec = golden_spec()
+        assert imported["campaign_id"] == spec.spec_hash()
+        assert imported["records"] == 2
+        assert imported["quarantined"] == 1
+        with CampaignStore(store_path) as store:
+            recorded = store.load_records(spec.spec_hash())
+
+        resumed = run_campaign(spec, workers=1, results=store_path, resume=True)
+        resumed.store.close()
+        assert resumed.skipped == 2
+        assert resumed.executed == 1
+        [rerun] = resumed.executed_cell_ids
+        assert rerun == spec.cells()[1].cell_id  # the quarantined cell
+        assert [r for r in resumed.records if r["cell_id"] != rerun] == recorded
+        clean = run_campaign(spec, workers=1)
+        assert deterministic_part(resumed.records) == deterministic_part(clean.records)

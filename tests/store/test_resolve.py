@@ -15,43 +15,25 @@ class TestClassification:
         ("c.sqlite", "store"),
         ("c.sqlite3", "store"),
         ("c.db", "store"),
-        ("c.jsonl", "jsonl"),
         ("c.telemetry.json", "manifest"),
         ("manifest.json", "manifest"),
-        ("results.out", "jsonl"),
     ])
     def test_suffix_classification(self, name, kind):
         assert classify_results_path(name) == kind
 
+    @pytest.mark.parametrize("name", ["c.jsonl", "results.out"])
+    def test_other_paths_are_refused_naming_migrate(self, name):
+        with pytest.raises(ExperimentError, match="repro migrate"):
+            classify_results_path(name)
+
     def test_missing_file_errors_by_default(self, tmp_path):
         with pytest.raises(ExperimentError, match="no such"):
-            resolve_results(tmp_path / "absent.jsonl")
-        resolved = resolve_results(tmp_path / "absent.jsonl", must_exist=False)
-        assert resolved.kind == "jsonl"
+            resolve_results(tmp_path / "absent.sqlite")
+        resolved = resolve_results(tmp_path / "absent.sqlite", must_exist=False)
+        assert resolved.kind == "store"
 
 
 class TestResolvedViews:
-    def test_jsonl_records_and_manifest(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
-        with resolve_results(results) as resolved:
-            assert resolved.kind == "jsonl"
-            assert len(resolved.records()) == 4
-            assert len(resolved.records("scheme=fcp")) == 2
-            assert resolved.manifest()["campaign"]["cells"] == 4
-            [row] = resolved.campaigns()
-            assert row["records"] == 4
-
-    def test_jsonl_manifest_rebuilt_without_sidecar(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
-        telemetry.manifest_path_for(results).unlink()
-        with resolve_results(results) as resolved:
-            # rebuilt from records: no campaign identity, but full counters
-            manifest = resolved.manifest()
-            assert manifest["records"]["total"] == 4
-            assert manifest["counters"]["cells/executed"] == 4
-
     def test_store_records_and_manifest(self, tmp_path):
         store_path = tmp_path / "c.sqlite"
         result = run_campaign(pair_spec(), workers=1, results=store_path)
@@ -62,19 +44,35 @@ class TestResolvedViews:
             [row] = resolved.campaigns()
             assert row["campaign_id"] == result.campaign_id
 
+    def test_store_manifest_rebuilt_without_a_stored_one(self, tmp_path):
+        store_path = tmp_path / "c.sqlite"
+        result = run_campaign(pair_spec(), workers=1, results=store_path)
+        result.store.conn.execute("DELETE FROM telemetry")
+        with resolve_results(store_path) as resolved:
+            # rebuilt from records: no campaign identity, but full counters
+            manifest = resolved.manifest()
+            assert manifest["records"]["total"] == 4
+            assert manifest["counters"]["cells/executed"] == 4
+
     def test_manifest_file_directly(self, tmp_path):
-        results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
-        sidecar = telemetry.manifest_path_for(results)
+        result = run_campaign(pair_spec(), workers=1)
+        sidecar = telemetry.write_manifest(
+            result.telemetry(), tmp_path / "c.telemetry.json"
+        )
         with resolve_results(sidecar) as resolved:
             assert resolved.kind == "manifest"
             assert resolved.manifest()["campaign"]["cells"] == 4
+            assert resolved.campaigns() == []
             with pytest.raises(ExperimentError):
                 resolved.records()
 
     def test_jsonl_store_property_refused(self, tmp_path):
+        """A JSONL file is refused at resolution; a manifest has no store."""
         results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
-        with resolve_results(results) as resolved:
+        results.write_text("")
+        with pytest.raises(ExperimentError, match="repro migrate"):
+            resolve_results(results)
+        sidecar = telemetry.write_manifest({}, tmp_path / "c.telemetry.json")
+        with resolve_results(sidecar) as resolved:
             with pytest.raises(ExperimentError, match="not a SQLite"):
                 resolved.store

@@ -109,7 +109,7 @@ class TestSessionOps:
 
     def test_query_refuses_jsonl(self, session, tmp_path):
         results = tmp_path / "c.jsonl"
-        run_campaign(pair_spec(), workers=1, results=results)
+        results.write_text("")
         response = session.handle({"op": "query", "results": str(results)})
         assert response["ok"] is False
         assert "migrate" in response["error"]
@@ -454,12 +454,34 @@ class TestAsyncSubmit:
         assert response["ok"] is False
         assert "SQLite store path" in response["error"]
 
-    def test_sync_flag_falls_back_to_blocking_run(self, job_session):
+    def test_submit_refuses_a_jsonl_results_path(self, tmp_path, job_session):
+        response = job_session.handle({
+            "op": "submit", "spec": pair_spec().to_dict(),
+            "results": str(tmp_path / "r.jsonl"),
+        })
+        assert response["ok"] is False
+        assert "repro migrate" in response["error"]
+        assert job_session.handle({"op": "jobs"})["count"] == 0
+
+    def test_sync_flag_is_an_ordinary_async_submit(self, tmp_path, job_session):
         response = job_session.handle({
             "op": "submit", "spec": pair_spec().to_dict(), "sync": True,
+            "results": str(tmp_path / "r.sqlite"),
         })
         assert response["ok"] is True
-        assert response["executed"] == pair_spec().cell_count()
+        assert response["state"] == "queued"
+        done = job_session.handle({
+            "op": "job", "job_id": response["job_id"], "wait_s": 60,
+        })
+        assert done["job"]["state"] == "done"
+
+    def test_session_without_journal_refuses_submit(self, tmp_path, session):
+        response = session.handle({
+            "op": "submit", "spec": pair_spec().to_dict(),
+            "results": str(tmp_path / "r.sqlite"),
+        })
+        assert response["ok"] is False
+        assert "no job journal" in response["error"]
 
     def test_bad_policy_is_rejected_before_journaling(self, tmp_path, job_session):
         response = job_session.handle({

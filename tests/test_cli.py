@@ -240,9 +240,16 @@ class TestSweepTopologySet:
             ])
 
 
+def _exported(tmp_path, store):
+    """``repro migrate`` a store's latest campaign out to ``run.jsonl``."""
+    results = tmp_path / "run.jsonl"
+    assert main(["migrate", str(store), str(results)]) == 0
+    return results
+
+
 class TestReportCommand:
     def _swept(self, tmp_path, *extra):
-        results = tmp_path / "run.jsonl"
+        results = tmp_path / "run.sqlite"
         assert main([
             "sweep", "--topologies", "fig1-example",
             "--schemes", "reconvergence", "pr",
@@ -264,6 +271,21 @@ class TestReportCommand:
         assert "dominant phase" in output
 
     def test_report_from_results_jsonl(self, capsys, tmp_path):
+        """JSONL results are reported through the manifest their export
+        carries; the JSONL file itself is refused with a pointer to
+        ``repro migrate``."""
+        from repro import telemetry
+
+        results = _exported(tmp_path, self._swept(tmp_path))
+        capsys.readouterr()
+        assert main(["report", str(telemetry.manifest_path_for(results))]) == 0
+        output = capsys.readouterr().out
+        assert "phase-time breakdown" in output
+        assert "cache efficiency" in output
+        with pytest.raises(SystemExit, match="repro migrate"):
+            main(["report", str(results)])
+
+    def test_report_from_store(self, capsys, tmp_path):
         results = self._swept(tmp_path)
         capsys.readouterr()
         assert main(["report", str(results)]) == 0
@@ -272,7 +294,7 @@ class TestReportCommand:
         assert "cache efficiency" in output
 
     def test_report_from_manifest_file(self, capsys, tmp_path):
-        results = self._swept(tmp_path)
+        results = _exported(tmp_path, self._swept(tmp_path))
         capsys.readouterr()
         from repro import telemetry
 
@@ -291,7 +313,7 @@ class TestReportCommand:
 
     def test_report_missing_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["report", str(tmp_path / "nope.jsonl")])
+            main(["report", str(tmp_path / "nope.sqlite")])
 
     def test_sweep_no_telemetry_still_writes_manifest(self, capsys, tmp_path):
         import json
@@ -304,7 +326,8 @@ class TestReportCommand:
             telemetry.set_enabled(True)
         output = capsys.readouterr().out
         assert "engine counters (all workers):" not in output
-        manifest = json.loads(telemetry.manifest_path_for(results).read_text())
+        exported = _exported(tmp_path, results)
+        manifest = json.loads(telemetry.manifest_path_for(exported).read_text())
         assert manifest["records"]["with_telemetry"] == 0
 
 
@@ -359,15 +382,38 @@ class TestStoreCommands:
             main(["query", str(store), "flavor=mint"])
 
     def test_query_works_on_jsonl_too(self, capsys, tmp_path):
-        results = self._swept(tmp_path, name="run.jsonl")
+        """JSONL results are queried once ``repro migrate`` imported them;
+        the JSONL file itself is refused, naming that command."""
+        results = _exported(tmp_path, self._swept(tmp_path))
+        with pytest.raises(SystemExit, match="repro migrate"):
+            main(["query", str(results), "scheme=fcp"])
+        imported = tmp_path / "imported.sqlite"
+        assert main(["migrate", str(results), str(imported)]) == 0
         capsys.readouterr()
-        assert main(["query", str(results), "scheme=fcp"]) == 0
+        assert main(["query", str(imported), "scheme=fcp"]) == 0
         assert "1 record" in capsys.readouterr().out
+
+    def test_sweep_refuses_jsonl_results_before_any_cell(self, capsys, tmp_path):
+        results = tmp_path / "run.jsonl"
+        with pytest.raises(SystemExit, match="repro migrate"):
+            main([
+                "sweep", "--topologies", "fig1-example",
+                "--schemes", "reconvergence",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--results", str(results),
+            ])
+        assert "[1/" not in capsys.readouterr().out  # no per-cell progress
+        assert not results.exists()
+
+    def test_serve_help_has_no_journal_less_mode(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "--no-jobs" not in capsys.readouterr().out
 
     def test_migrate_round_trip_and_report(self, capsys, tmp_path):
         import filecmp
 
-        results = self._swept(tmp_path, name="run.jsonl")
+        results = _exported(tmp_path, self._swept(tmp_path, name="origin.sqlite"))
         store = tmp_path / "run.sqlite"
         assert main(["migrate", str(results), str(store)]) == 0
         back = tmp_path / "back.jsonl"
