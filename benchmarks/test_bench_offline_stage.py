@@ -5,7 +5,9 @@ cycle-following tables, the DD column) happens offline.  This benchmark
 measures that cost for the three evaluation topologies so the "relatively
 expensive computations offline" claim of Section 7 has a number attached,
 and verifies the resulting embeddings are valid and strong (no self-paired
-links) wherever the topology allows it.
+links) wherever the topology allows it.  The scale tier does the same for
+two larger synthetic topologies, where the genus heuristics do nearly all
+of the work; each of them is built once per run.
 """
 
 import pytest
@@ -13,18 +15,15 @@ import pytest
 from repro.core.scheme import PacketRecycling
 from repro.embedding.genus import self_paired_edge_count
 from repro.embedding.validation import validate_embedding
+from repro.topologies.corpus import parse_topology_spec
 from repro.topologies.registry import by_name
 
 
-@pytest.mark.parametrize("topology_name", ["abilene", "teleglobe", "geant"])
-def test_bench_offline_precomputation(benchmark, topology_name):
-    graph = by_name(topology_name)
-    scheme = benchmark(lambda: PacketRecycling(graph, embedding_seed=0))
-
+def _check_offline_stage(name, graph, scheme):
     validate_embedding(graph, scheme.embedding.rotation, scheme.embedding.faces)
     print()
     print(
-        f"{topology_name}: faces={scheme.embedding.number_of_faces} "
+        f"{name}: faces={scheme.embedding.number_of_faces} "
         f"genus={scheme.embedding.genus} "
         f"self-paired links={self_paired_edge_count(scheme.embedding.rotation)} "
         f"header bits={scheme.header_overhead_bits()} "
@@ -32,3 +31,19 @@ def test_bench_offline_precomputation(benchmark, topology_name):
     )
     assert self_paired_edge_count(scheme.embedding.rotation) == 0
     assert scheme.header_overhead_bits() <= 6
+
+
+@pytest.mark.parametrize("topology_name", ["abilene", "teleglobe", "geant"])
+def test_bench_offline_precomputation(benchmark, topology_name):
+    graph = by_name(topology_name)
+    scheme = benchmark(lambda: PacketRecycling(graph, embedding_seed=0))
+    _check_offline_stage(topology_name, graph, scheme)
+
+
+@pytest.mark.parametrize("spec", ["fat-tree:k=8", "barabasi-albert:m=2,seed=3,size=100"])
+def test_bench_offline_precomputation_scale(benchmark, spec):
+    graph = parse_topology_spec(spec).build()
+    scheme = benchmark.pedantic(
+        lambda: PacketRecycling(graph, embedding_seed=0), rounds=1, iterations=1
+    )
+    _check_offline_stage(spec, graph, scheme)

@@ -10,6 +10,13 @@ below therefore maximise the number of faces:
 * :func:`greedy_insertion_rotation` — embed a maximal planar subgraph exactly
   (DMP), then insert the remaining edges one by one, choosing the rotation
   positions of their two darts so that the resulting face count is maximal.
+  Inserting an edge at two corners changes the face count by exactly one:
+  if both corners lie on one face that face splits in two (+1), otherwise
+  the two faces merge (-1).  Only the touched faces change, so each
+  candidate position pair is scored by re-tracing just the orbits through
+  the new darts (see :func:`_insertion_scores`); candidates are tried in
+  row-major position order and only a strictly better score replaces the
+  best so far, which keeps the chosen rotation deterministic.
 * :func:`local_search_rotation` — hill climbing (optionally with simulated
   annealing style restarts) over single-dart relocation moves.
 * :func:`minimise_genus` — the public entry point combining both.
@@ -18,56 +25,89 @@ below therefore maximise the number of faces:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import NotPlanar
 from repro.graph.darts import Dart
-from repro.graph.multigraph import Graph
+from repro.graph.multigraph import Edge, Graph
 from repro.embedding.faces import trace_faces
 from repro.embedding.planarity import is_planar, planar_embedding
 from repro.embedding.rotation import RotationSystem
 
 
-def _orbit_stats(rotation: RotationSystem) -> Tuple[int, int]:
-    """``(self_paired_edges, face_count)`` of a rotation system, traced leanly.
+class _IntRotation:
+    """A rotation system over integer darts, for the scoring inner loops.
 
-    Scoring a candidate rotation is the inner loop of every genus heuristic:
-    this helper computes exactly what :func:`embedding_score` needs — how many
-    orbits the face permutation has and how many edges have both darts on one
-    orbit — without materialising :class:`~repro.embedding.faces.Face`
-    objects.  Orbit membership is identical to :func:`trace_faces` (the same
-    permutation is followed from the same deterministically sorted starts).
+    Darts are numbered node by node in rotation order, followed by the
+    ``pending`` darts (an edge about to be inserted), which start unplaced.
+    ``rot[node]`` is the rotation at ``node`` as dart numbers, ``reverse[i]``
+    the number of dart ``i``'s reversal and ``successor`` the flat rotation
+    successor array (an unplaced dart is its own successor), kept in step
+    with ``rot`` by :meth:`sync`.  The face permutation is
+    ``i -> successor[reverse[i]]``, as in :meth:`RotationSystem.next_in_face`.
+    Shared by :func:`embedding_score`, the local search and the insertion
+    scores.
     """
-    successor = {}
-    graph = rotation.graph
-    for node in graph.nodes():
-        cycle = rotation.rotation_at(node)
+
+    def __init__(self, rotation: RotationSystem, pending: Sequence[Dart] = ()) -> None:
+        self.graph = graph = rotation.graph
+        rotations = rotation.as_mapping()
+        self.darts: List[Dart] = [dart for node in graph.nodes() for dart in rotations[node]]
+        self.placed = len(self.darts)
+        self.darts.extend(pending)
+        index_of = {dart: number for number, dart in enumerate(self.darts)}
+        self.reverse = [index_of[dart.reversed()] for dart in self.darts]
+        self.rot = {
+            node: [index_of[dart] for dart in rotations[node]] for node in graph.nodes()
+        }
+        #: Every edge with both darts placed, once.
+        self.pairs = [
+            (number, back)
+            for number, back in enumerate(self.reverse[: self.placed])
+            if number < back
+        ]
+        self.successor = list(range(len(self.darts)))
+        for node in self.rot:
+            self.sync(node)
+
+    def sync(self, node: str) -> None:
+        """Refresh the successor slots of ``node`` from ``rot[node]``."""
+        successor = self.successor
+        cycle = self.rot[node]
         length = len(cycle)
-        for index, dart in enumerate(cycle):
-            successor[dart] = cycle[(index + 1) % length]
-    face_of: dict = {}
-    faces = 0
-    for start in sorted(successor):
-        if start in face_of:
-            continue
-        dart = start
-        while dart not in face_of:
-            face_of[dart] = faces
-            dart = successor[dart.reversed()]
-        faces += 1
-    self_paired = 0
-    for edge in graph.edges():
-        forward, backward = edge.darts()
-        # During greedy construction some edges of the graph may not be part
-        # of the rotation yet; they simply do not contribute to the score.
-        forward_face = face_of.get(forward)
-        if forward_face is not None and forward_face == face_of.get(backward):
-            self_paired += 1
-    return self_paired, faces
+        for position in range(length):
+            successor[cycle[position]] = cycle[(position + 1) % length]
 
+    def faces(self) -> Tuple[List[int], int]:
+        """Face number of every placed dart (-1 if unplaced) and the face count."""
+        successor, reverse = self.successor, self.reverse
+        face_of = [-1] * len(successor)
+        faces = 0
+        for start in range(self.placed):
+            if face_of[start] >= 0:
+                continue
+            dart = start
+            while face_of[dart] < 0:
+                face_of[dart] = faces
+                dart = successor[reverse[dart]]
+            faces += 1
+        return face_of, faces
 
-def _face_count(rotation: RotationSystem) -> int:
-    return _orbit_stats(rotation)[1]
+    def score(self) -> Tuple[int, int]:
+        """:func:`embedding_score` of the placed darts."""
+        face_of, faces = self.faces()
+        self_paired = 0
+        for forward, backward in self.pairs:
+            if face_of[forward] == face_of[backward]:
+                self_paired += 1
+        return (-self_paired, faces)
+
+    def decode(self) -> RotationSystem:
+        """The placed darts as a :class:`RotationSystem`."""
+        darts = self.darts
+        return RotationSystem(
+            self.graph, {node: [darts[i] for i in cycle] for node, cycle in self.rot.items()}
+        )
 
 
 def self_paired_edge_count(rotation: RotationSystem) -> int:
@@ -95,8 +135,7 @@ def embedding_score(rotation: RotationSystem) -> Tuple[int, int]:
     Lexicographic: first minimise the number of self-paired (unprotectable)
     edges, then maximise the number of faces (i.e. minimise genus).
     """
-    self_paired, faces = _orbit_stats(rotation)
-    return (-self_paired, faces)
+    return _IntRotation(rotation).score()
 
 
 def greedy_insertion_rotation(graph: Graph, seed: Optional[int] = None) -> RotationSystem:
@@ -144,31 +183,119 @@ def _maximal_planar_core(
 
 
 def _insert_edge_best(rotation: RotationSystem, graph: Graph, edge_id: int) -> None:
-    """Insert both darts of ``edge_id`` at the face-count-maximising positions."""
-    edge = graph.edge(edge_id)
-    dart_uv = edge.dart_from(edge.u)
-    dart_vu = edge.dart_from(edge.v)
+    """Insert both darts of ``edge_id`` at the score-maximising positions.
 
+    The candidates are the (position at ``u``, position at ``v``) pairs of
+    :func:`_insertion_scores`, in row-major order; the first candidate with
+    the strictly highest :func:`embedding_score` wins.  Position
+    ``len(rotation_at(u))`` is the same cyclic corner as position 0, so under
+    this tie-break it could never win and is not scored.  Each candidate
+    changes the face count by exactly one: +1 when both corners lie on one
+    face (it splits), -1 when they lie on two faces (they merge); the
+    scores are deltas over just those faces.
+    """
+    edge = graph.edge(edge_id)
     best_score: Optional[Tuple[int, int]] = None
     best_positions: Tuple[int, int] = (0, 0)
+    for positions, score in _insertion_scores(rotation, edge):
+        if best_score is None or score > best_score:
+            best_score = score
+            best_positions = positions
+    index_u, index_v = best_positions
     rotation_u = rotation.rotation_at(edge.u)
     rotation_v = rotation.rotation_at(edge.v)
-    positions_u = range(len(rotation_u) + 1) if rotation_u else range(1)
-    positions_v = range(len(rotation_v) + 1) if rotation_v else range(1)
-    for index_u in positions_u:
-        for index_v in positions_v:
-            candidate = rotation.copy()
-            new_u = rotation_u[:index_u] + [dart_uv] + rotation_u[index_u:]
-            new_v = rotation_v[:index_v] + [dart_vu] + rotation_v[index_v:]
-            candidate.set_rotation(edge.u, new_u)
-            candidate.set_rotation(edge.v, new_v)
-            score = embedding_score(candidate)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_positions = (index_u, index_v)
-    index_u, index_v = best_positions
+    dart_uv = edge.dart_from(edge.u)
+    dart_vu = edge.dart_from(edge.v)
     rotation.set_rotation(edge.u, rotation_u[:index_u] + [dart_uv] + rotation_u[index_u:])
     rotation.set_rotation(edge.v, rotation_v[:index_v] + [dart_vu] + rotation_v[index_v:])
+
+
+def _insertion_scores(
+    rotation: RotationSystem, edge: Edge
+) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """``((index_u, index_v), score)`` of every way to insert ``edge``.
+
+    ``score`` is the :func:`embedding_score` the rotation would have with
+    ``u -> v`` at position ``index_u`` of the rotation at ``u`` and
+    ``v -> u`` at ``index_v`` at ``v``; positions run over
+    ``range(max(1, len(rotation_at(node))))``, row-major.
+
+    A candidate is scored by a delta instead of a re-trace of the whole
+    embedding.  Placing ``u -> v`` between rotation neighbours ``a, b`` at
+    ``u`` re-routes only the face through the corner ``(a, b)``, and
+    likewise at ``v``: if both corners lie on one face, that face splits in
+    two (faces +1); if they lie on two faces, the faces merge (faces -1).
+    Every other face keeps its darts, and an edge keeps its self-paired
+    status unless both its darts lie on touched faces.  So the faces are
+    traced once, with a self-paired count per face, and each candidate
+    patches at most four successor slots, traces the orbits through the two
+    new darts, scores ``(-(self_paired - touched_self_paired +
+    new_self_paired), faces - touched + new_orbits)`` and restores the
+    slots: O(length of the touched faces) per candidate.
+    """
+    ints = _IntRotation(rotation, pending=(edge.dart_from(edge.u), edge.dart_from(edge.v)))
+    new_uv, new_vu = ints.placed, ints.placed + 1
+    successor, reverse = ints.successor, ints.reverse
+    face_of, faces = ints.faces()
+    face_self_paired = [0] * faces
+    for forward, backward in ints.pairs:
+        if face_of[forward] == face_of[backward]:
+            face_self_paired[face_of[forward]] += 1
+    self_paired = sum(face_self_paired)
+
+    # Orbit labels of the current candidate; labels only grow, so stale
+    # labels of earlier candidates never match.
+    orbit_of = [0] * len(successor)
+    label = 0
+    rot_u = ints.rot[edge.u]
+    rot_v = ints.rot[edge.v]
+    for index_u in range(len(rot_u) or 1):
+        face_u = -1
+        if rot_u:
+            before_u = rot_u[index_u - 1]
+            successor[before_u] = new_uv
+            successor[new_uv] = rot_u[index_u]
+            face_u = face_of[reverse[before_u]]
+        for index_v in range(len(rot_v) or 1):
+            face_v = -1
+            if rot_v:
+                before_v = rot_v[index_v - 1]
+                successor[before_v] = new_vu
+                successor[new_vu] = rot_v[index_v]
+                face_v = face_of[reverse[before_v]]
+
+            members: List[int] = []
+            first = label + 1
+            for start in (new_uv, new_vu):
+                if orbit_of[start] >= first:
+                    continue
+                label += 1
+                dart = start
+                while orbit_of[dart] != label:
+                    orbit_of[dart] = label
+                    members.append(dart)
+                    dart = successor[reverse[dart]]
+            # Both darts of a self-paired edge are members: count them halved.
+            new_self_paired = 0
+            for dart in members:
+                if orbit_of[reverse[dart]] == orbit_of[dart]:
+                    new_self_paired += 1
+            new_self_paired //= 2
+
+            touched = 0
+            touched_self_paired = 0
+            for face in (face_u, face_v) if face_u != face_v else (face_u,):
+                if face >= 0:
+                    touched += 1
+                    touched_self_paired += face_self_paired[face]
+            yield (index_u, index_v), (
+                -(self_paired - touched_self_paired + new_self_paired),
+                faces - touched + label - first + 1,
+            )
+            if rot_v:
+                successor[before_v] = rot_v[index_v]
+        if rot_u:
+            successor[before_u] = rot_u[index_u]
 
 
 def repair_self_paired_edges(
@@ -229,57 +356,14 @@ def local_search_rotation(
         return current
 
     # The hill climb scores thousands of candidate rotations, so the loop
-    # runs on an integer encoding of the darts: rotations become lists of
-    # ints, the face permutation becomes one flat successor array, and a
-    # score is one O(darts) orbit trace over plain lists.  The random draws
-    # (``choice`` indexes by position, the int lists mirror the dart lists)
-    # and the score values are identical to the object-level implementation,
-    # so the search visits and returns exactly the same rotation system.
-    rotations = current.as_mapping()
-    darts: List[Dart] = [dart for node in graph.nodes() for dart in rotations[node]]
-    index_of = {dart: position for position, dart in enumerate(darts)}
-    total = len(darts)
-    reverse = [index_of[dart.reversed()] for dart in darts]
-    rot = {
-        node: [index_of[dart] for dart in rotations[node]] for node in graph.nodes()
-    }
-    edge_pairs: List[Tuple[int, int]] = []
-    for edge in graph.edges():
-        forward, backward = edge.darts()
-        forward_index = index_of.get(forward)
-        backward_index = index_of.get(backward)
-        if forward_index is not None and backward_index is not None:
-            edge_pairs.append((forward_index, backward_index))
-
-    successor = [0] * total
-
-    def sync(node: str) -> None:
-        cycle = rot[node]
-        length = len(cycle)
-        for position in range(length):
-            successor[cycle[position]] = cycle[(position + 1) % length]
-
-    for node in rot:
-        sync(node)
-
-    def score() -> Tuple[int, int]:
-        face_of = [-1] * total
-        faces = 0
-        for start in range(total):
-            if face_of[start] >= 0:
-                continue
-            dart = start
-            while face_of[dart] < 0:
-                face_of[dart] = faces
-                dart = successor[reverse[dart]]
-            faces += 1
-        self_paired = 0
-        for forward_index, backward_index in edge_pairs:
-            if face_of[forward_index] == face_of[backward_index]:
-                self_paired += 1
-        return (-self_paired, faces)
-
-    current_score = score()
+    # runs on the integer encoding of the darts: a score is one O(darts)
+    # orbit trace over plain lists.  The random draws (``choice`` indexes by
+    # position, the int lists mirror the dart lists) and the score values are
+    # identical to the object-level implementation, so the search visits and
+    # returns exactly the same rotation system.
+    ints = _IntRotation(current)
+    rot = ints.rot
+    current_score = ints.score()
     for _round in range(iterations):
         node = rng.choice(movable)
         cycle = rot[node]
@@ -288,17 +372,15 @@ def local_search_rotation(
         old_index = cycle.index(dart)
         del cycle[old_index]
         cycle.insert(new_index, dart)
-        sync(node)
-        candidate_score = score()
+        ints.sync(node)
+        candidate_score = ints.score()
         if candidate_score >= current_score:
             current_score = candidate_score
         else:
             del cycle[cycle.index(dart)]
             cycle.insert(old_index, dart)
-            sync(node)
-    return RotationSystem(
-        graph, {node: [darts[i] for i in cycle] for node, cycle in rot.items()}
-    )
+            ints.sync(node)
+    return ints.decode()
 
 
 def minimise_genus(

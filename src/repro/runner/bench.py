@@ -36,16 +36,18 @@ when any ``throughput`` rate drops below the baseline by the same margin
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
+import statistics
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.graph.spcache import aggregate_cache_info
-from repro.runner.executor import run_campaign
+from repro.graph.spcache import aggregate_cache_info, clear_engines
+from repro.runner.executor import _TOPOLOGY_CACHE, run_campaign
 from repro.runner.policy import ExecutionPolicy
 from repro.runner.spec import (
     CampaignSpec,
@@ -106,6 +108,50 @@ def _figure2_spec(quick: bool) -> CampaignSpec:
     return figure2_campaign_spec("2d", samples=20 if quick else 60, seed=1)
 
 
+#: Trials per leg of each fault-layer/fault-free pair (see _paired_medians).
+PAIRED_TRIALS = 3
+
+
+def _clear_process_caches() -> None:
+    """Drop the in-process topology and shortest-path engine caches."""
+    _TOPOLOGY_CACHE.clear()
+    clear_engines()
+
+
+def _paired_medians(
+    clean: Callable[[], Any],
+    ft: Callable[[], Any],
+    reset: Optional[Callable[[], None]] = None,
+) -> Tuple[float, float, Any, Any]:
+    """Median wall times of ``clean()`` and ``ft()``, timed interleaved.
+
+    The legs alternate (clean, ft, clean, ft, ...) for
+    :data:`PAIRED_TRIALS` trials each, so both see the same drift of the
+    machine.  Before every call, untimed, ``reset()`` (when given) sets the
+    cache state and a full garbage collection empties the collector's
+    generations: otherwise the allocation counts left by the previous leg
+    decide which leg pays for the next full collection, which in a large
+    heap (a long test session) costs more than the legs themselves.
+    Returns both medians and each leg's last result.
+    """
+    samples: Tuple[List[float], List[float]] = ([], [])
+    results: List[Any] = [None, None]
+    for _trial in range(PAIRED_TRIALS):
+        for slot, leg in enumerate((clean, ft)):
+            if reset is not None:
+                reset()
+            gc.collect()
+            started = time.perf_counter()
+            results[slot] = leg()
+            samples[slot].append(time.perf_counter() - started)
+    return (
+        statistics.median(samples[0]),
+        statistics.median(samples[1]),
+        results[0],
+        results[1],
+    )
+
+
 def run_bench(
     quick: bool = False,
     workers: int = 2,
@@ -121,24 +167,31 @@ def run_bench(
         timings["figure2_s"] = time.perf_counter() - started
 
     # The cross-topology aggregation is part of the corpus workload: the
-    # sweep is not done until the per-topology summary exists.
-    started = time.perf_counter()
-    corpus_result = run_campaign(_corpus_spec(quick), workers=1)
+    # sweep is not done until the per-topology summary exists.  The same
+    # workload also runs with the fault-tolerance layer armed but idle
+    # (retries + timeout + quarantine configured, zero faults firing): the
+    # *_ft_s timings exist so CI can gate the layer's overhead against the
+    # fault-free twin (see check_ft_overhead).  Every trial of the pair
+    # starts from cold in-process caches.
+    ft_policy = ExecutionPolicy(max_retries=2, cell_timeout=600.0, on_error="quarantine")
+
+    def corpus_leg(policy: ExecutionPolicy):
+        result = run_campaign(_corpus_spec(quick), workers=1, policy=policy)
+        result.topology_summary()
+        return result
+
+    corpus_s, corpus_ft_s, corpus_result, ft_result = _paired_medians(
+        lambda: corpus_leg(ExecutionPolicy()),
+        lambda: corpus_leg(ft_policy),
+        reset=_clear_process_caches,
+    )
+    timings["corpus_sweep_s"] = corpus_s
+    timings["corpus_sweep_ft_s"] = corpus_ft_s
+    assert not ft_result.quarantined, "idle fault layer must quarantine nothing"
     corpus_rows = len(corpus_result.topology_summary())
-    timings["corpus_sweep_s"] = time.perf_counter() - started
     # Merged telemetry counters of the corpus workload (empty when telemetry
     # is disabled): where the corpus wall-clock went, cache layer by layer.
     corpus_counters = corpus_result.merged_counters()
-
-    # The same corpus workload with the fault-tolerance layer armed but
-    # idle (retries + timeout + quarantine configured, zero faults firing):
-    # the *_ft_s timings exist so CI can gate the layer's overhead against
-    # the fault-free baseline (see check_ft_overhead).
-    ft_policy = ExecutionPolicy(max_retries=2, cell_timeout=600.0, on_error="quarantine")
-    started = time.perf_counter()
-    ft_result = run_campaign(_corpus_spec(quick), workers=1, policy=ft_policy)
-    timings["corpus_sweep_ft_s"] = time.perf_counter() - started
-    assert not ft_result.quarantined, "idle fault layer must quarantine nothing"
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         cache_dir = Path(tmp) / "cache"
@@ -153,13 +206,13 @@ def run_bench(
         run_campaign(spec, workers=1, cache_dir=cache_dir)
         timings["sweep_warm_s"] = time.perf_counter() - started
 
-        started = time.perf_counter()
-        run_campaign(spec, workers=workers, cache_dir=cache_dir)
-        timings["sweep_parallel_s"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        run_campaign(spec, workers=workers, cache_dir=cache_dir, policy=ft_policy)
-        timings["sweep_parallel_ft_s"] = time.perf_counter() - started
+        # Warm artifact cache for every trial of the parallel pair.
+        parallel_s, parallel_ft_s, _, _ = _paired_medians(
+            lambda: run_campaign(spec, workers=workers, cache_dir=cache_dir),
+            lambda: run_campaign(spec, workers=workers, cache_dir=cache_dir, policy=ft_policy),
+        )
+        timings["sweep_parallel_s"] = parallel_s
+        timings["sweep_parallel_ft_s"] = parallel_ft_s
 
         started = time.perf_counter()
         resumed = run_campaign(
@@ -292,8 +345,9 @@ def check_ft_overhead(
     """Violations of the idle fault-layer overhead budget, empty when ok.
 
     Compares each ``*_ft_s`` timing against its fault-free twin *from the
-    same run* (same machine, same thermal state — the only comparison where
-    a 3% relative budget is meaningful).  ``floor_s`` is an absolute noise
+    same run*: both are medians of trials timed interleaved from the same
+    cache state (same machine, same thermal state — the only comparison
+    where a 3% relative budget is meaningful).  ``floor_s`` is an absolute noise
     floor: quick-mode legs finish in well under 100 ms, where 3% is below
     scheduler jitter, so a delta must exceed BOTH the relative budget and
     the floor to count as a violation.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.embedding import genus
 from repro.embedding.faces import euler_genus, trace_faces
 from repro.embedding.genus import (
     embedding_score,
@@ -13,6 +14,7 @@ from repro.embedding.genus import (
 )
 from repro.embedding.rotation import RotationSystem
 from repro.embedding.validation import validate_embedding
+from repro.topologies.corpus import parse_topology_spec, topology_set
 from repro.topologies.generators import (
     complete_graph,
     k33_graph,
@@ -109,3 +111,108 @@ class TestMinimiseGenus:
     def test_unknown_method_raises(self, abilene_graph):
         with pytest.raises(ValueError):
             minimise_genus(abilene_graph, method="magic")
+
+
+# ----------------------------------------------------------------------
+# delta insertion scoring against the copy-and-rescore original
+# ----------------------------------------------------------------------
+def _reference_embedding_score(rotation):
+    """The original embedding_score: a dict-based trace of every face."""
+    successor = {}
+    graph = rotation.graph
+    for node in graph.nodes():
+        cycle = rotation.rotation_at(node)
+        length = len(cycle)
+        for index, dart in enumerate(cycle):
+            successor[dart] = cycle[(index + 1) % length]
+    face_of = {}
+    faces = 0
+    for start in sorted(successor):
+        if start in face_of:
+            continue
+        dart = start
+        while dart not in face_of:
+            face_of[dart] = faces
+            dart = successor[dart.reversed()]
+        faces += 1
+    self_paired = 0
+    for edge in graph.edges():
+        forward, backward = edge.darts()
+        forward_face = face_of.get(forward)
+        if forward_face is not None and forward_face == face_of.get(backward):
+            self_paired += 1
+    return (-self_paired, faces)
+
+
+def _reference_insert_edge_best(rotation, graph, edge_id):
+    """The original insertion: copy the rotation and re-score every candidate
+    with the original scorer."""
+    edge = graph.edge(edge_id)
+    dart_uv = edge.dart_from(edge.u)
+    dart_vu = edge.dart_from(edge.v)
+
+    best_score = None
+    best_positions = (0, 0)
+    rotation_u = rotation.rotation_at(edge.u)
+    rotation_v = rotation.rotation_at(edge.v)
+    positions_u = range(len(rotation_u) + 1) if rotation_u else range(1)
+    positions_v = range(len(rotation_v) + 1) if rotation_v else range(1)
+    for index_u in positions_u:
+        for index_v in positions_v:
+            candidate = rotation.copy()
+            new_u = rotation_u[:index_u] + [dart_uv] + rotation_u[index_u:]
+            new_v = rotation_v[:index_v] + [dart_vu] + rotation_v[index_v:]
+            candidate.set_rotation(edge.u, new_u)
+            candidate.set_rotation(edge.v, new_v)
+            score = _reference_embedding_score(candidate)
+            if best_score is None or score > best_score:
+                best_score = score
+                best_positions = (index_u, index_v)
+    index_u, index_v = best_positions
+    rotation.set_rotation(edge.u, rotation_u[:index_u] + [dart_uv] + rotation_u[index_u:])
+    rotation.set_rotation(edge.v, rotation_v[:index_v] + [dart_vu] + rotation_v[index_v:])
+
+
+EQUIVALENCE_SEEDS = (0, 7, 11)
+
+
+def _insertion_rotations(graph, seed):
+    """The two rotations edge insertion decides: greedy, and repaired local search."""
+    return (
+        genus.greedy_insertion_rotation(graph, seed=seed).as_mapping(),
+        genus.repair_self_paired_edges(genus.local_search_rotation(graph, seed=seed), graph)
+        .as_mapping(),
+    )
+
+
+def assert_insertion_matches_reference(spec, seeds=EQUIVALENCE_SEEDS):
+    """The delta-scored insertion picks list-for-list the rotations of the
+    copy-and-rescore reference on topology ``spec``, for every seed.
+
+    Also run on the larger scale topologies by the nightly workflow.
+    """
+    graph = parse_topology_spec(spec).build()
+    fast = [_insertion_rotations(graph, seed) for seed in seeds]
+    original = genus._insert_edge_best
+    genus._insert_edge_best = _reference_insert_edge_best
+    try:
+        reference = [_insertion_rotations(graph, seed) for seed in seeds]
+    finally:
+        genus._insert_edge_best = original
+    for seed, ours, theirs in zip(seeds, fast, reference):
+        assert ours == theirs, f"{spec} seed={seed}: insertion diverged from the reference"
+
+
+@pytest.mark.parametrize("spec", topology_set("all") + ["fat-tree:k=6"])
+def test_delta_insertion_matches_copy_and_rescore_reference(spec):
+    assert_insertion_matches_reference(spec)
+
+
+@pytest.mark.parametrize("spec", topology_set("all"))
+def test_embedding_score_matches_reference(spec):
+    graph = parse_topology_spec(spec).build()
+    for rotation in (
+        RotationSystem.from_adjacency_order(graph),
+        local_search_rotation(graph, iterations=50, seed=0),
+    ):
+        assert embedding_score(rotation) == _reference_embedding_score(rotation)
